@@ -5,11 +5,19 @@
 //! over the listener, a self-wake pipe, and every live connection. Each
 //! connection carries its own read buffer with an incremental
 //! partial-frame state machine and a write queue drained as the socket
-//! allows, so 10k idle-ish clients cost file descriptors, not stacks. A
-//! bounded worker pool executes engine requests and completes them *out
-//! of order*; protocol-v2 connections correlate completions by request
-//! id, protocol-v1 connections are dispatched strictly one at a time so
-//! their in-order lock-step contract survives.
+//! allows, so 10k idle-ish clients cost file descriptors, not stacks.
+//!
+//! Cheap requests are answered on the loop thread itself, in the tick
+//! that parsed them: `Ping`, `Metrics`, `Shutdown`, `Query`, `Label`,
+//! and `QueryBatch`es of at most [`SMALL_BATCH_INLINE`] pairs. A
+//! hub-label join costs less than a cross-thread wakeup, so handing these
+//! to a worker would only add latency. A bounded worker pool executes the
+//! rest — `Reload`, `LabelBatch` and larger batches — and completes them
+//! *out of order*, so a reload's mount never stalls the loop.
+//! Protocol-v2 connections correlate completions by request id;
+//! protocol-v1 connections dispatch strictly one request at a time, so
+//! their in-order lock-step contract survives the mix of inline and
+//! pooled answers.
 //!
 //! Design constraints, in order:
 //!
@@ -19,9 +27,10 @@
 //!   whole-frame and write-stall budgets regardless of socket state.
 //! - **Bounded resources.** At most `max_connections` connections are
 //!   served at once (excess is greeted and turned away
-//!   [`ErrorCode::Busy`]); at most `max_inflight_per_conn` requests per
-//!   v2 connection are in flight (excess gets a per-id `Busy`); reads
-//!   pause when a connection's write queue backs up.
+//!   [`ErrorCode::Busy`]); at most `max_inflight_per_conn` pooled
+//!   requests per v2 connection are in flight (excess gets a per-id
+//!   `Busy`; inline answers never count); reads pause when a
+//!   connection's write queue backs up.
 //! - **Graceful shutdown.** A `Shutdown` request (or [`StopHandle`])
 //!   flips one atomic flag and nudges the loop awake. The loop stops
 //!   accepting, stops reading, flushes every queued response (bounded by
@@ -44,6 +53,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hl_graph::sync::lock_unpoisoned;
+use hl_server::engine::SMALL_BATCH_INLINE;
 use hl_server::{store, AnyStore, EngineError, QueryEngine};
 use hl_sys::{poll, PollFd, POLLIN, POLLOUT};
 
@@ -107,14 +117,19 @@ pub struct ServerConfig {
     /// file the engine was loaded from). Updated live when a `Reload`
     /// mounts a store of a different version.
     pub store_version: u16,
-    /// Threads in the request-execution pool. Requests from *all*
-    /// connections share these; a slow request occupies one worker, not
-    /// a connection slot.
+    /// Threads in the request-execution pool, which runs `Reload`,
+    /// `LabelBatch` and `QueryBatch`es of more than [`SMALL_BATCH_INLINE`]
+    /// pairs. Pooled requests from *all* connections share these; a slow
+    /// request occupies one worker, not a connection slot. Point queries,
+    /// labels and small batches are answered on the event-loop thread and
+    /// never reach the pool.
     pub worker_threads: usize,
-    /// Concurrent in-flight requests one protocol-v2 connection may
-    /// hold; requests beyond the cap are answered immediately with a
-    /// per-id [`ErrorCode::Busy`] so the client can back off. (Protocol
-    /// v1 is lock-step: always exactly one in flight.)
+    /// Concurrent pooled requests one protocol-v2 connection may hold in
+    /// flight; pooled requests beyond the cap are answered immediately
+    /// with a per-id [`ErrorCode::Busy`] so the client can back off.
+    /// Requests answered on the loop (ping, metrics, point queries,
+    /// labels, small batches) never count against it. (Protocol v1 is
+    /// lock-step: at most one pooled request in flight.)
     pub max_inflight_per_conn: usize,
 }
 
@@ -216,7 +231,8 @@ struct Conn {
     wbytes: usize,
     /// Parsed requests not yet dispatched, with their v2 ids (0 for v1).
     pending: VecDeque<(u64, Request)>,
-    /// Requests handed to the worker pool and not yet completed.
+    /// Requests handed to the worker pool and not yet completed (inline
+    /// answers never count here).
     inflight: usize,
     /// When the last byte arrived (or the connection was accepted).
     last_read: Instant,
@@ -416,7 +432,7 @@ impl NetServer {
                 match *token {
                     Token::Listener => {
                         if fd.readable() {
-                            self.accept_ready(&mut conns, &mut next_conn_id, job_tx)?;
+                            self.accept_ready(&mut conns, &mut next_conn_id)?;
                         }
                     }
                     Token::Waker => {
@@ -502,7 +518,6 @@ impl NetServer {
         &self,
         conns: &mut HashMap<u64, Conn>,
         next_conn_id: &mut u64,
-        job_tx: &Sender<Job>,
     ) -> Result<(), NetError> {
         let inner = &self.inner;
         loop {
@@ -576,8 +591,6 @@ impl NetServer {
             if conn_write(&mut c) == Verdict::Keep {
                 conns.insert(cid, c);
             }
-            // Unused only when every accepted client is over cap.
-            let _ = job_tx;
         }
     }
 }
@@ -622,6 +635,17 @@ fn frame_payload(payload: &[u8]) -> Vec<u8> {
     framed
 }
 
+/// Frames `resp` under `version` framing: length prefix, plus the
+/// request id for v2.
+fn frame_response(version: u16, id: u64, resp: &Response) -> Vec<u8> {
+    let payload = resp.encode();
+    if version >= PROTOCOL_V2 {
+        frame_payload(&encode_mux(id, &payload))
+    } else {
+        frame_payload(&payload)
+    }
+}
+
 /// Queues `resp` on `c` under `version` framing, counting error frames.
 fn queue_response(inner: &Inner, c: &mut Conn, version: u16, id: u64, resp: &Response) {
     if matches!(resp, Response::Error { .. }) {
@@ -631,13 +655,7 @@ fn queue_response(inner: &Inner, c: &mut Conn, version: u16, id: u64, resp: &Res
             .net_errors
             .fetch_add(1, Ordering::Relaxed);
     }
-    let payload = resp.encode();
-    let framed = if version >= PROTOCOL_V2 {
-        frame_payload(&encode_mux(id, &payload))
-    } else {
-        frame_payload(&payload)
-    };
-    c.queue_frame(framed);
+    c.queue_frame(frame_response(version, id, resp));
 }
 
 /// Reads everything the socket has, parses complete frames, dispatches.
@@ -819,9 +837,22 @@ fn accept_frame(inner: &Inner, c: &mut Conn, payload: &[u8]) {
     }
 }
 
-/// Dispatches as many pending requests as the protocol allows: v1 is
-/// strictly one at a time (lock-step order), v2 up to the in-flight cap
-/// with overflow answered `Busy` per id.
+/// Whether `request` is cheap enough to answer on the loop thread: one
+/// hub-label join or label copy (or a handful, for a small batch) costs
+/// less than handing the request to a worker and waking the loop again.
+fn answers_inline(request: &Request) -> bool {
+    match request {
+        Request::Query { .. } | Request::Label { .. } => true,
+        Request::QueryBatch(pairs) => pairs.len() <= SMALL_BATCH_INLINE,
+        _ => false,
+    }
+}
+
+/// Dispatches as many pending requests as the protocol allows. Cheap
+/// requests are answered on the spot; the rest go to the worker pool.
+/// v1 is strictly one at a time (lock-step order: nothing is popped while
+/// a pooled request is in flight), v2 up to the in-flight cap on pooled
+/// work with overflow answered `Busy` per id.
 fn pump(inner: &Inner, c: &mut Conn, cid: u64, job_tx: &Sender<Job>) {
     let ConnState::Serving(version) = c.state else {
         return;
@@ -857,10 +888,15 @@ fn pump(inner: &Inner, c: &mut Conn, cid: u64, job_tx: &Sender<Job>) {
                 };
                 queue_response(inner, c, version, id, &resp);
             }
+            cheap if answers_inline(&cheap) => {
+                let resp = execute(inner, cheap);
+                queue_response(inner, c, version, id, &resp);
+            }
             heavy => {
-                // Engine-bound work goes to the pool. v2 connections may
-                // stack these to the cap; overflow answers Busy so the
-                // pool's queue stays bounded per connection.
+                // Reloads, label batches and large query batches go to
+                // the pool. v2 connections may stack these to the cap;
+                // overflow answers Busy so the pool's queue stays
+                // bounded per connection.
                 if version >= PROTOCOL_V2 && c.inflight >= inner.config.max_inflight_per_conn {
                     let resp = Response::Error {
                         code: ErrorCode::Busy,
@@ -945,17 +981,10 @@ fn worker_loop(
             return; // channel closed: the server is done
         };
         let response = execute(inner, job.request);
-        let is_error = matches!(response, Response::Error { .. });
-        let payload = response.encode();
-        let frame = if job.version >= PROTOCOL_V2 {
-            frame_payload(&encode_mux(job.id, &payload))
-        } else {
-            frame_payload(&payload)
-        };
         let completion = Completion {
             conn: job.conn,
-            frame,
-            is_error,
+            frame: frame_response(job.version, job.id, &response),
+            is_error: matches!(response, Response::Error { .. }),
         };
         if done_tx.send(completion).is_err() {
             return; // loop is gone: nothing left to complete into
@@ -965,8 +994,11 @@ fn worker_loop(
     }
 }
 
-/// Executes one engine-bound request (the `pump` fast paths — ping,
-/// metrics, shutdown, gating — never reach here).
+/// Executes one engine-bound request and builds its response. `pump`
+/// calls this on the loop thread for the requests [`answers_inline`]
+/// picks; workers call it for the rest. Ping, metrics, shutdown and the
+/// remote-control gates are answered by `pump` directly and never reach
+/// here.
 fn execute(inner: &Inner, request: Request) -> Response {
     match request {
         Request::Query { u, v } => match inner.engine.query(u, v) {

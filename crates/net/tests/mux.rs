@@ -23,6 +23,7 @@ use hl_net::{
     ClientConfig, ErrorCode, MuxClient, NetClient, NetError, NetServer, Request, Response,
     ServerConfig, StopHandle, MAX_PROTOCOL_VERSION, PROTOCOL_V2,
 };
+use hl_server::engine::SMALL_BATCH_INLINE;
 use hl_server::QueryEngine;
 
 const TEST_MAX_FRAME: u32 = 1 << 20;
@@ -280,14 +281,20 @@ fn per_request_deadline_frees_only_that_request() {
 }
 
 /// The per-connection in-flight cap answers `Busy` *per id* — typed,
-/// correlated, and only for engine-bound work (inline ops are exempt).
+/// correlated, and only for pooled work. Requests answered on the loop
+/// (point queries, labels, small batches, ping) are exempt.
 #[test]
 fn inflight_overflow_answers_busy_for_that_id_only() {
     let g = generators::grid(4, 4);
     let server = TestServer::start(&g, |c| c.max_inflight_per_conn = 0);
     let mut stream = v2_socket(server.addr);
 
-    send_mux(&mut stream, 7, &Request::Query { u: 0, v: 1 });
+    // One pair past the inline limit: the batch must go to the pool, and
+    // at cap 0 the pool is closed to this connection.
+    let pairs: Vec<(NodeId, NodeId)> = (1..=SMALL_BATCH_INLINE as NodeId + 1)
+        .map(|v| (0, v))
+        .collect();
+    send_mux(&mut stream, 7, &Request::QueryBatch(pairs));
     let (id, resp) = read_mux(&mut stream);
     assert_eq!(id, 7, "Busy must carry the overflowing request's id");
     match resp {
@@ -295,11 +302,151 @@ fn inflight_overflow_answers_busy_for_that_id_only() {
         other => panic!("expected Busy, got {other:?}"),
     }
 
-    // Ping is answered inline and never counts against the cap.
-    send_mux(&mut stream, 8, &Request::Ping);
+    // A point query is answered on the loop and never counts against
+    // the cap.
+    send_mux(&mut stream, 8, &Request::Query { u: 0, v: 15 });
     let (id, resp) = read_mux(&mut stream);
     assert_eq!(id, 8);
+    match resp {
+        Response::Distance(d) => assert_eq!(d, bfs::bfs_distances(&g, 0)[15]),
+        other => panic!("expected Distance, got {other:?}"),
+    }
+
+    // Neither does Ping.
+    send_mux(&mut stream, 9, &Request::Ping);
+    let (id, resp) = read_mux(&mut stream);
+    assert_eq!(id, 9);
     assert!(matches!(resp, Response::Pong));
+}
+
+/// v1 is lock-step even when pooled and inline requests mix: a pooled
+/// batch written ahead of three inline requests still answers first,
+/// and every answer matches BFS.
+#[test]
+fn v1_mixed_pooled_and_inline_requests_answer_in_send_order() {
+    let g = generators::grid(6, 6);
+    let n = g.num_nodes();
+    let truth: Vec<Vec<u64>> = (0..n as NodeId)
+        .map(|u| bfs::bfs_distances(&g, u))
+        .collect();
+    let server = TestServer::start(&g, |_| {});
+    let mut stream = TcpStream::connect(server.addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    read_frame(&mut stream, TEST_MAX_FRAME).expect("server hello");
+    let hello = ClientHello {
+        protocol_version: hl_net::PROTOCOL_VERSION,
+    };
+    write_frame(&mut stream, &hello.encode()).expect("client hello");
+
+    let pairs: Vec<(NodeId, NodeId)> = (0..64usize)
+        .map(|i| ((i % n) as NodeId, ((i * 7 + 3) % n) as NodeId))
+        .collect();
+    let (qu, qv) = (2 as NodeId, 33 as NodeId);
+    let lv = 17 as NodeId;
+    // Everything is on the wire before the first response is read.
+    for req in [
+        Request::QueryBatch(pairs.clone()),
+        Request::Query { u: qu, v: qv },
+        Request::Label { v: lv },
+        Request::Ping,
+    ] {
+        write_frame(&mut stream, &req.encode()).expect("send request");
+    }
+
+    let mut read = || {
+        let payload = read_frame(&mut stream, TEST_MAX_FRAME).expect("response frame");
+        Response::decode(&payload).expect("decode response")
+    };
+    match read() {
+        Response::DistanceBatch(ds) => {
+            let want: Vec<u64> = pairs
+                .iter()
+                .map(|&(u, v)| truth[u as usize][v as usize])
+                .collect();
+            assert_eq!(ds, want, "batch answered wrong");
+        }
+        other => panic!("expected DistanceBatch first, got {other:?}"),
+    }
+    match read() {
+        Response::Distance(d) => assert_eq!(d, truth[qu as usize][qv as usize]),
+        other => panic!("expected Distance second, got {other:?}"),
+    }
+    match read() {
+        Response::Label(hubs) => {
+            assert!(!hubs.is_empty(), "label of {lv} is empty");
+            for (hub, d) in hubs {
+                assert_eq!(d, truth[lv as usize][hub as usize], "d({lv},{hub}) wrong");
+            }
+        }
+        other => panic!("expected Label third, got {other:?}"),
+    }
+    assert!(matches!(read(), Response::Pong), "expected Pong last");
+}
+
+/// A pooled reload and a burst of inline queries on one v2 connection:
+/// every query answers BFS-correct under its own id and the reload
+/// still acknowledges.
+#[test]
+fn v2_queries_behind_a_pooled_reload_all_answer() {
+    use hl_core::FlatLabeling;
+    use hl_server::FlatStore;
+
+    let g = generators::grid(6, 6);
+    let n = g.num_nodes();
+    let truth: Vec<Vec<u64>> = (0..n as NodeId)
+        .map(|u| bfs::bfs_distances(&g, u))
+        .collect();
+    let flat = FlatLabeling::from(PrunedLandmarkLabeling::by_degree(&g).into_labeling());
+    let mut path = std::env::temp_dir();
+    path.push(format!("hlnet-mux-mixed-{}.hlbs", std::process::id()));
+    FlatStore::from_flat(flat).save(&path).expect("save store");
+
+    let server = TestServer::start(&g, |c| c.allow_remote_reload = true);
+    let mut stream = v2_socket(server.addr);
+    const RELOAD_ID: u64 = 1_000;
+    send_mux(
+        &mut stream,
+        RELOAD_ID,
+        &Request::Reload {
+            path: path.to_str().expect("utf-8 path").to_string(),
+        },
+    );
+    let mut sent: Vec<(u64, NodeId, NodeId)> = Vec::with_capacity(100);
+    for i in 0..100usize {
+        let id = i as u64 + 1;
+        let u = ((i * 13) % n) as NodeId;
+        let v = ((i * 5 + 1) % n) as NodeId;
+        send_mux(&mut stream, id, &Request::Query { u, v });
+        sent.push((id, u, v));
+    }
+
+    let mut answered: HashSet<u64> = HashSet::with_capacity(sent.len() + 1);
+    for _ in 0..=sent.len() {
+        let (id, resp) = read_mux(&mut stream);
+        assert!(answered.insert(id), "request id {id} answered twice");
+        if id == RELOAD_ID {
+            match resp {
+                Response::ReloadAck { epoch, num_nodes } => {
+                    assert_eq!(epoch, 1);
+                    assert_eq!(num_nodes, n as u64);
+                }
+                other => panic!("expected ReloadAck, got {other:?}"),
+            }
+            continue;
+        }
+        let &(_, u, v) = sent
+            .iter()
+            .find(|&&(sid, _, _)| sid == id)
+            .unwrap_or_else(|| panic!("response for an id never sent: {id}"));
+        match resp {
+            Response::Distance(d) => assert_eq!(d, truth[u as usize][v as usize], "d({u},{v})"),
+            other => panic!("expected Distance for id {id}, got {other:?}"),
+        }
+    }
+    assert!(answered.contains(&RELOAD_ID), "reload never acknowledged");
+    let _ = std::fs::remove_file(path);
 }
 
 /// v2 framing violations answer `Malformed` with the best id available:

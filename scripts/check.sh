@@ -36,6 +36,13 @@ echo "== hlnp-fuzz (seeded, bounded) =="
 # 2 if its own wall-clock guard fires. `timeout` is the outer hang net.
 timeout 240 ./target/release/hlnp-fuzz --seed 5 --iters 2000 --max-seconds 180
 
+echo "== servebench selftest (every workload at tiny size) =="
+# Runs each serving workload small and checks the answers, the metric
+# units, and that the daemon's counters (net_requests, single_queries,
+# ...) match what was sent — so a dispatch change that miscounts work
+# fails here. The build lands in target/ next to the workspace's own.
+CARGO_TARGET_DIR="$PWD/target" timeout 300 bash servebench/run.sh --selftest
+
 echo "== parallel-build smoke (~100k vertices, bounded) =="
 # Exercises the hl-build batch/commit pipeline at a size the unit tests
 # don't reach: a ~131k-vertex RMAT graph, 2 worker threads, degree
