@@ -12,12 +12,11 @@
 //! * [`pipeline`] — the batch/commit pipeline ([`build_with_order`],
 //!   [`build_with_strategy`], [`BuildConfig`], [`BuildOutput`]); the
 //!   module docs carry the determinism argument;
-//! * [`committed`] — [`CommittedLabels`], the growable committed-prefix
-//!   labeling all waves prune against (a
-//!   [`LabelingView`](hl_core::LabelingView), like the serving-side
-//!   arena);
-//! * [`wave`] — one pruned BFS/Dijkstra wave with reusable per-worker
-//!   scratch;
+//! * `committed` (crate-private) — the growable committed-prefix labeling
+//!   all waves prune against, keyed by hub rank and frozen into the
+//!   serving-side [`FlatLabeling`](hl_core::FlatLabeling) at the end;
+//! * `wave` (crate-private) — one pruned BFS/Dijkstra wave with reusable
+//!   per-worker scratch;
 //! * [`stats`] — [`BuildStats`] telemetry: per-batch timings, the
 //!   label-size growth curve, pruning hit rate, and a JSON snapshot;
 //! * [`error`] — [`BuildError`].
@@ -42,13 +41,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod committed;
+mod committed;
 pub mod error;
 pub mod pipeline;
 pub mod stats;
-pub mod wave;
+mod wave;
 
-pub use committed::CommittedLabels;
 pub use error::BuildError;
 pub use pipeline::{build_with_order, build_with_strategy, BuildConfig, BuildOutput};
 pub use stats::{BatchStats, BuildStats};

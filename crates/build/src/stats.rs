@@ -23,7 +23,10 @@ pub struct BatchStats {
 pub struct BuildStats {
     /// Worker threads used.
     pub threads: usize,
-    /// Largest batch size the ramp-up reached.
+    /// Upper bound the adaptive batch size ran under: the configured
+    /// [`BuildConfig::batch_cap`](crate::BuildConfig::batch_cap), or the
+    /// automatic one when that is `0`. The sizes actually used are in
+    /// [`BatchStats::roots`].
     pub batch_cap: usize,
     /// Name of the ordering strategy (or `"explicit"` for a caller-supplied
     /// permutation).
@@ -34,7 +37,8 @@ pub struct BuildStats {
     pub wave_pops: u64,
     /// Pops cut by the committed-prefix pruning test.
     pub wave_pruned: u64,
-    /// End-to-end wall-clock seconds.
+    /// End-to-end wall-clock seconds, freezing the labeling into the
+    /// serving arena included.
     pub total_seconds: f64,
 }
 

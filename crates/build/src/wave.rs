@@ -2,13 +2,19 @@
 //! immutable committed prefix.
 //!
 //! The pruning test "is `d(root, u)` already covered by committed hubs?"
-//! is exactly the merge-join query of
-//! [`hl_core::LabelingView`] between `root`'s and `u`'s
-//! committed labels. We evaluate it through a scratch table indexed by hub
-//! id — load `root`'s committed label once, then each visited vertex `u`
-//! costs one linear scan of `u`'s label — which is the standard
-//! cache-friendly formulation of the same min-plus join (the root side of
-//! the merge is pre-expanded into an array).
+//! is the min-plus join of `root`'s and `u`'s committed labels. We
+//! evaluate it through a scratch table indexed by hub rank: load `root`'s
+//! committed label once, then each visited vertex `u` costs one linear
+//! scan of `u`'s label. This is the cache-friendly formulation of
+//! Akiba–Iwata–Yoshida's PLL (the root side of the join is pre-expanded
+//! into an array), and it needs no hub order within a label.
+//!
+//! The scan's only branch is its exit. A hub missing from `root`'s label
+//! holds `INFINITY`; adding to it overflows, and the overflow flag, taken
+//! as a value, rejects the entry without a test of its own (such entries
+//! are common and unpredictable, so a branch on them mispredicts often).
+//! Because labels are rank-sorted, the hubs most likely to cover `u`
+//! come first and a pruned vertex usually exits within a few entries.
 //!
 //! A wave only *proposes* entries: because it cannot see the labels the
 //! rest of its batch is producing concurrently, its candidate set is a
@@ -18,22 +24,21 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use hl_core::LabelingView;
 use hl_graph::{Distance, Graph, NodeId, INFINITY};
 
 use crate::committed::CommittedLabels;
 
 /// Reusable per-worker buffers: all `O(n)` allocations a wave needs, paid
 /// once per worker instead of once per root.
-pub struct WaveScratch {
+pub(crate) struct WaveScratch {
     /// Tentative distance from the current root.
     dist: Vec<Distance>,
     /// Vertices whose `dist` entry must be reset after the wave.
     visited: Vec<NodeId>,
-    /// `root_dist[h]` = committed `d(root, h)`, or `INFINITY`.
+    /// `root_dist[r]` = committed `d(root, hub of rank r)`, or `INFINITY`.
     root_dist: Vec<Distance>,
-    /// Hubs loaded into `root_dist` (for cheap reset).
-    touched: Vec<NodeId>,
+    /// Ranks loaded into `root_dist` (for cheap reset).
+    touched: Vec<u32>,
     /// Vertices popped across all waves run with this scratch.
     pops: u64,
     /// Pops cut by the pruning test.
@@ -42,7 +47,7 @@ pub struct WaveScratch {
 
 impl WaveScratch {
     /// Buffers for a graph with `n` vertices.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         WaveScratch {
             dist: vec![INFINITY; n],
             visited: Vec::new(),
@@ -54,30 +59,39 @@ impl WaveScratch {
     }
 
     /// `(pops, pruned)` accumulated over every wave run with this scratch.
-    pub fn counters(&self) -> (u64, u64) {
+    pub(crate) fn counters(&self) -> (u64, u64) {
         (self.pops, self.pruned)
     }
 
     fn load_root(&mut self, committed: &CommittedLabels, root: NodeId) {
-        for (&h, &d) in committed.hubs_of(root).iter().zip(committed.dists_of(root)) {
-            self.root_dist[h as usize] = d;
-            self.touched.push(h);
+        for (&r, &d) in committed
+            .ranks_of(root)
+            .iter()
+            .zip(committed.dists_of(root))
+        {
+            self.root_dist[r as usize] = d;
+            self.touched.push(r);
         }
     }
 
-    /// Min-plus join of `root`'s (pre-loaded) and `u`'s committed labels.
+    /// Min-plus join of `root`'s (pre-loaded) and `u`'s committed labels:
+    /// is some hub's `d(root, h) + d(h, u)` at most `du`?
     fn covered(&mut self, committed: &CommittedLabels, u: NodeId, du: Distance) -> bool {
+        debug_assert!(du != INFINITY, "a popped vertex has a finite distance");
         self.pops += 1;
-        let hs = committed.hubs_of(u);
-        let ds = committed.dists_of(u);
-        for (&h, &d) in hs.iter().zip(ds) {
-            let dr = self.root_dist[h as usize];
-            if dr != INFINITY && dr.saturating_add(d) <= du {
-                self.pruned += 1;
-                return true;
-            }
-        }
-        false
+        let root_dist = &self.root_dist;
+        let covered = committed
+            .ranks_of(u)
+            .iter()
+            .zip(committed.dists_of(u))
+            .any(|(&r, &d)| {
+                // The carry as a value, not `saturating_add`, which
+                // compiles to a branch on it.
+                let (sum, overflow) = root_dist[r as usize].overflowing_add(d);
+                !overflow & (sum <= du)
+            });
+        self.pruned += u64::from(covered);
+        covered
     }
 
     fn reset(&mut self) {
@@ -95,7 +109,7 @@ impl WaveScratch {
 /// Runs one pruned wave from `root` and returns the candidate entries
 /// `(v, d(root, v))` in the order sequential PLL would have assigned them
 /// (BFS/heap pop order). BFS on unit-weight graphs, Dijkstra otherwise.
-pub fn run_wave(
+pub(crate) fn run_wave(
     g: &Graph,
     committed: &CommittedLabels,
     root: NodeId,
@@ -189,16 +203,41 @@ mod tests {
 
     #[test]
     fn committed_prefix_prunes_later_waves() {
-        // Path 0-1-2-3-4 with vertex 2 fully committed: a wave from 0
-        // stops expanding past 2 (every farther vertex is covered).
+        // Path 0-1-2-3-4 with vertex 2 fully committed as rank 0: a wave
+        // from 0 stops expanding past 2 (every farther vertex is covered).
         let g = generators::path(5);
         let mut committed = CommittedLabels::new(5);
         for v in 0..5u32 {
-            committed.insert(v, 2, (i64::from(v) - 2).unsigned_abs());
+            committed.push(v, 0, (i64::from(v) - 2).unsigned_abs());
         }
         let mut scratch = WaveScratch::new(5);
         let cand = run_wave(&g, &committed, 0, &mut scratch);
         assert_eq!(cand, vec![(0, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn prune_scan_finds_a_cover_at_any_position() {
+        // Vertex 0 (the root) and vertex 1 share 40 hub ranks, and only
+        // rank `k` gives a short path. Odd ranks 41.. sit in vertex 1's
+        // label alone: their `INFINITY` root distance must never cover,
+        // even at `d = 0`.
+        for k in [0u32, 15, 16, 31, 32, 39] {
+            let mut committed = CommittedLabels::new(2);
+            for r in 0..40u32 {
+                let d = if r == k { 1 } else { 100 };
+                committed.push(0, r, d);
+                committed.push(1, r, d);
+            }
+            for r in (41..60u32).step_by(2) {
+                committed.push(1, r, 0);
+            }
+            let mut scratch = WaveScratch::new(60);
+            scratch.load_root(&committed, 0);
+            assert!(scratch.covered(&committed, 1, 2), "k = {k}");
+            assert!(!scratch.covered(&committed, 1, 1), "k = {k}");
+            assert_eq!(scratch.counters(), (2, 1));
+            scratch.reset();
+        }
     }
 
     #[test]

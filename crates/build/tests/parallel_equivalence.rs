@@ -115,3 +115,83 @@ fn every_order_strategy_is_thread_invariant() {
         );
     }
 }
+
+#[test]
+fn adaptive_schedule_grows_and_shrinks_without_changing_labels() {
+    // Large enough that the commit filter's discard share crosses both
+    // thresholds: the per-batch root counts must rise and fall at least
+    // once each (the last batch is cut short by the order, so it is left
+    // out of the check).
+    let g = generators::connected_gnm(800, 1601, 9);
+    let order = hl_core::order::by_degree(&g);
+    let reference = sequential_flat(&g, &order);
+    for threads in [1usize, 2, 4] {
+        let out = build_with_order(&g, order.clone(), BuildConfig::with_threads(threads)).unwrap();
+        assert_eq!(out.labeling, reference, "threads = {threads}");
+        if threads == 1 {
+            continue;
+        }
+        let roots: Vec<usize> = out.stats.batches.iter().map(|b| b.roots).collect();
+        let steps = &roots[..roots.len() - 1];
+        assert!(
+            steps.windows(2).any(|w| w[1] > w[0]) && steps.windows(2).any(|w| w[1] < w[0]),
+            "threads = {threads}: schedule never both grew and shrank: {roots:?}"
+        );
+        assert!(steps
+            .iter()
+            .all(|&r| r >= threads && r <= out.stats.batch_cap));
+    }
+}
+
+#[test]
+fn near_saturation_weights_match_sequential_and_dijkstra() {
+    // Weights near u64::MAX / 8 on a graph of hop diameter <= 6: every
+    // true distance is finite, but two label distances can sum past
+    // u64::MAX, so the prune scan and the commit filter both meet
+    // saturated sums — and `INFINITY` root distances next to them.
+    const N: usize = 150;
+    let mut rng = Xorshift64::seed_from_u64(0x5A7_0001);
+    let heavy = |rng: &mut Xorshift64| u64::MAX / 8 - rng.gen_u64_below(1 << 40);
+    let mut depth = vec![0usize; N];
+    let mut edges = Vec::new();
+    for v in 1..N {
+        // A tree of depth <= 3 keeps every hop distance <= 6.
+        let parent = loop {
+            let p = rng.gen_index(v);
+            if depth[p] < 3 {
+                break p;
+            }
+        };
+        depth[v] = depth[parent] + 1;
+        edges.push((parent as NodeId, v as NodeId, heavy(&mut rng)));
+    }
+    for _ in 0..N / 2 {
+        let (a, b) = (rng.gen_index(N), rng.gen_index(N));
+        if a != b {
+            edges.push((a as NodeId, b as NodeId, heavy(&mut rng)));
+        }
+    }
+    let g = hl_graph::builder::graph_from_weighted_edges(N, &edges).unwrap();
+    assert!(!g.is_unit_weighted());
+
+    let order = hl_core::order::by_degree(&g);
+    let reference = sequential_flat(&g, &order);
+    for threads in [1usize, 2, 4] {
+        let out = build_with_order(&g, order.clone(), BuildConfig::with_threads(threads)).unwrap();
+        assert_eq!(out.labeling, reference, "threads = {threads}");
+    }
+    let mut max_finite = 0;
+    for s in 0..N as NodeId {
+        let truth = hl_graph::dijkstra::shortest_path_distances(&g, s);
+        for v in 0..N as NodeId {
+            let d = truth[v as usize];
+            assert_ne!(d, hl_graph::INFINITY, "({s}, {v}) must stay finite");
+            assert_eq!(reference.query(s, v), d, "wrong distance for ({s}, {v})");
+            max_finite = max_finite.max(d);
+        }
+    }
+    assert!(
+        max_finite > u64::MAX / 2,
+        "no pair is far enough for a label sum to saturate"
+    );
+}
